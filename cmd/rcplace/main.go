@@ -5,6 +5,7 @@
 //	rcplace -testcase aes_360 -flow 5 -route
 //	rcplace -testcase des3_210 -flow 2 -scale 0.2 -def out.def -lef out.lef
 //	rcplace -testcase aes_360 -flow 5 -trace trace.json -progress
+//	rcplace -testcase nova_300 -scale 1.0 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The results block is machine-consumable and goes to stdout; everything
 // diagnostic (the testcase preamble, progress events, file-written notes)
@@ -12,7 +13,10 @@
 // -trace records a Chrome trace_event file (open in chrome://tracing or
 // https://ui.perfetto.dev) with one span per flow stage plus solver
 // sub-spans; -progress streams solver events (MILP incumbents, k-means
-// iteration movement) to stderr as they happen.
+// iteration movement) to stderr as they happen. -cpuprofile and -memprofile
+// write pprof files for `go tool pprof`; CPU samples carry the flow's
+// "stage" label, so `go tool pprof -tagfocus stage=parse cpu.pprof` shows
+// one stage's hot spots.
 package main
 
 import (
@@ -23,6 +27,8 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 
 	"mthplace/internal/fault"
@@ -52,6 +58,8 @@ func main() {
 		strict   = flag.Bool("strict", false, "fail fast instead of degrading to an anytime/greedy answer when solve budgets run out")
 		solver   = flag.String("solver", "", "RAP solver backend: milp (default), rap (structure-aware Lagrangian branch and bound), or greedy")
 		useSoA   = flag.Bool("soa", false, "iterate the flat structure-of-arrays representation in the hot stages; results are identical to the default")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run, samples labelled by flow stage, to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -115,8 +123,18 @@ func main() {
 	if *useSoA {
 		fcfg.Rep = mth.RepSoA
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	finishProfiles := func() {
+		if err := stopProfiles(); err != nil {
+			lg.Warn("profile not written", "err", err)
+		}
+	}
 	runner, err := mth.NewRunner(ctx, spec, fcfg)
 	if err != nil {
+		finishProfiles()
 		fatal(err)
 	}
 	lg.Info("testcase prepared",
@@ -129,6 +147,7 @@ func main() {
 
 	res, err := runner.Run(ctx, mth.ID(*flowNum), *doRoute)
 	writeTrace(tracer, *traceOut, lg) // even on failure: partial traces localize the failure
+	finishProfiles()
 	if errors.Is(err, mth.ErrTimeout) {
 		fmt.Fprintln(os.Stderr, "rcplace: timed out after", *timeout)
 		os.Exit(124)
@@ -239,6 +258,46 @@ func writeTrace(tracer *obs.Tracer, path string, lg *slog.Logger) {
 		return
 	}
 	lg.Info("wrote trace", "file", path, "events", tracer.Len())
+}
+
+// startProfiles starts CPU profiling into cpuPath when it is set and returns
+// a stop function that ends it, then writes the allocation profile to
+// memPath when that is set. Either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpu profile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		runtime.GC() // settle the live-heap figures the profile also carries
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // rungLabel renders the solve ladder's verdict: which rung answered, and

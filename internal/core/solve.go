@@ -815,7 +815,7 @@ type Options struct {
 
 // DefaultOptions mirror the paper's final parameter choices (s = 0.2,
 // α = 0.75). The MILP budgets differ from CPLEX's pure optimality run: the
-// branch and bound stops at a 0.2% optimality gap or 400 nodes (documented
+// branch and bound stops at a 0.2% optimality gap or 40 nodes (documented
 // substitution in DESIGN.md — the root cuts almost always prove optimality
 // at the root anyway, and a 0.2% objective slack is far below the
 // flow-to-flow differences the experiments measure).

@@ -269,7 +269,9 @@ func NewRunner(ctx context.Context, spec synth.Spec, cfg Config) (r *Runner, err
 		if err := fault.Inject(ctx, PointParse); err != nil {
 			return fmt.Errorf("flow: prepare: %w", err)
 		}
+		sp := obs.StartSpan(ctx, "synth.generate")
 		d, err := synth.Generate(tc, lib, spec, cfg.Synth)
+		sp.End()
 		if err != nil {
 			return err
 		}
@@ -280,8 +282,11 @@ func NewRunner(ctx context.Context, spec synth.Spec, cfg Config) (r *Runner, err
 		if err := errs.FromContext(ctx); err != nil {
 			return fmt.Errorf("flow: prepare: %w", err)
 		}
+		sp = obs.StartSpan(ctx, "placer.global")
 		placer.Global(d, cfg.Placer)
+		sp.End()
 		g := rowgrid.Uniform(d.Die, m.PairH)
+		sp = obs.StartSpan(ctx, "legalize.uniform")
 		if cfg.Rep == RepSoA {
 			// SoA path: legalize over the flat arrays (with the row-list
 			// overlap proof), then materialise back. ToDesign∘FromDesign is
@@ -297,6 +302,7 @@ func NewRunner(ctx context.Context, spec synth.Spec, cfg Config) (r *Runner, err
 		} else if err := legalize.Uniform(d, g); err != nil {
 			return err
 		}
+		sp.End()
 		if err := errs.FromContext(ctx); err != nil {
 			return fmt.Errorf("flow: prepare: %w", err)
 		}
@@ -306,7 +312,9 @@ func NewRunner(ctx context.Context, spec synth.Spec, cfg Config) (r *Runner, err
 			pool: pool,
 		}
 		// Flow (2)'s assignment fixes N_minR for every row-constraint flow.
+		sp = obs.StartSpan(ctx, "baseline.assign")
 		ba, err := baseline.AssignRows(d, g, cfg.Baseline)
+		sp.End()
 		if err != nil {
 			return fmt.Errorf("flow: baseline row assignment: %w", err)
 		}

@@ -31,12 +31,31 @@ func TestFlow5Trace(t *testing.T) {
 	}
 	for _, want := range []string{
 		"flow.parse", "flow.cluster", "flow.solve", "flow.legalize", "flow.route",
+		"synth.generate", "placer.global", "legalize.uniform", "baseline.assign",
 		"cluster.kmeans2d", "core.buildmodel",
 		"milp.incumbent",
 	} {
 		if !seen[want] {
 			t.Errorf("trace missing %q; recorded: %v", want, tr.Spans())
 		}
+	}
+
+	// The prepare sub-steps nest under the prepare stage, in call order.
+	byName := map[string]obs.SpanRecord{}
+	for _, rec := range tr.Records() {
+		byName[rec.Name] = rec
+	}
+	parse := byName["flow.parse"]
+	var prev obs.SpanRecord
+	for _, name := range []string{"synth.generate", "placer.global", "legalize.uniform", "baseline.assign"} {
+		rec := byName[name]
+		if rec.Parent != parse.SpanID {
+			t.Errorf("%s parented under %q, want flow.parse %q", name, rec.Parent, parse.SpanID)
+		}
+		if rec.StartUS < prev.StartUS+prev.DurUS {
+			t.Errorf("%s starts at %d µs, before %s ends at %d µs", name, rec.StartUS, prev.Name, prev.StartUS+prev.DurUS)
+		}
+		prev = rec
 	}
 
 	// The export must be valid Chrome trace_event JSON.

@@ -17,8 +17,9 @@
 package placer
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mthplace/internal/geom"
 	"mthplace/internal/netlist"
@@ -216,6 +217,11 @@ func clampF(v, lo, hi float64) float64 {
 // bisection: cells are recursively split along the longer region axis in
 // coordinate order, each half receiving a region share proportional to its
 // area demand; leaf bins distribute their cells uniformly.
+//
+// Areas must be non-negative integers (width × height products, exact in
+// float64) and coordinates must not be NaN: the split then depends only on
+// the set of cells in a region, never on the order they arrive in, which is
+// what lets bisect select the split instead of sorting for it.
 func spread(d *netlist.Design, cx, cy, area []float64, movable []bool, ax, ay []float64, binTarget int) {
 	ids := make([]int, 0, len(cx))
 	for i := range cx {
@@ -235,6 +241,11 @@ type rectF struct{ x0, y0, x1, y1 float64 }
 func (r rectF) w() float64 { return r.x1 - r.x0 }
 func (r rectF) h() float64 { return r.y1 - r.y0 }
 
+// bisect spreads ids over r. In (key, id) order along the cut axis, the
+// left half is the shortest prefix (at least one cell, at most all but one)
+// whose area reaches half the region's; weightedSplit finds it by selection
+// in linear time, so a whole spread costs O(n log n), not the O(n log² n)
+// of sorting at every level.
 func bisect(ids []int, r rectF, cx, cy, area, ax, ay []float64, binTarget int) {
 	if len(ids) == 0 {
 		return
@@ -242,12 +253,7 @@ func bisect(ids []int, r rectF, cx, cy, area, ax, ay []float64, binTarget int) {
 	if len(ids) <= binTarget || (r.w() < 1 && r.h() < 1) {
 		// Leaf: order by x and distribute uniformly on a row-major mini
 		// grid to kill residual overlap.
-		sort.Slice(ids, func(a, b int) bool {
-			if cx[ids[a]] != cx[ids[b]] {
-				return cx[ids[a]] < cx[ids[b]]
-			}
-			return ids[a] < ids[b]
-		})
+		slices.SortFunc(ids, byKey(cx))
 		for k, id := range ids {
 			f := (float64(k) + 0.5) / float64(len(ids))
 			ax[id] = r.x0 + f*r.w()
@@ -256,29 +262,18 @@ func bisect(ids []int, r rectF, cx, cy, area, ax, ay []float64, binTarget int) {
 		return
 	}
 	vertCut := r.w() >= r.h() // cut the longer axis
-	sort.Slice(ids, func(a, b int) bool {
-		va, vb := cy[ids[a]], cy[ids[b]]
-		if vertCut {
-			va, vb = cx[ids[a]], cx[ids[b]]
-		}
-		if va != vb {
-			return va < vb
-		}
-		return ids[a] < ids[b]
-	})
+	key := cy
+	if vertCut {
+		key = cx
+	}
 	var total float64
 	for _, id := range ids {
 		total += area[id]
 	}
-	half := total / 2
+	cut := weightedSplit(ids, key, area, total/2, 2*bits.Len(uint(len(ids))))
 	var acc float64
-	cut := 0
-	for cut < len(ids)-1 {
-		acc += area[ids[cut]]
-		cut++
-		if acc >= half {
-			break
-		}
+	for _, id := range ids[:cut] {
+		acc += area[id]
 	}
 	fracArea := acc / total
 	left, right := ids[:cut], ids[cut:]
@@ -291,6 +286,96 @@ func bisect(ids []int, r rectF, cx, cy, area, ax, ay []float64, binTarget int) {
 		bisect(left, rectF{r.x0, r.y0, r.x1, ym}, cx, cy, area, ax, ay, binTarget)
 		bisect(right, rectF{r.x0, ym, r.x1, r.y1}, cx, cy, area, ax, ay, binTarget)
 	}
+}
+
+// before is the strict total order of the split: key, then id.
+func before(key []float64, a, b int) bool {
+	return key[a] < key[b] || (key[a] == key[b] && a < b)
+}
+
+// byKey is before as a slices.SortFunc comparator.
+func byKey(key []float64) func(a, b int) int {
+	return func(a, b int) int {
+		switch {
+		case before(key, a, b):
+			return -1
+		case before(key, b, a):
+			return 1
+		}
+		return 0
+	}
+}
+
+// weightedSplit reorders ids (len ≥ 2) in place and returns cut such that
+// ids[:cut] are the first cut cells in (key, id) order, where cut is the
+// smallest k ≥ 1 whose prefix area reaches half, capped at len(ids)-1. It is
+// a weighted quickselect: each round partitions the live range around a
+// median-of-three pivot and keeps only the side holding the cell whose area
+// crosses half. After depth rounds the live range is sorted instead, which
+// bounds the worst case at O(n log n) for a depth of O(log n).
+func weightedSplit(ids []int, key, area []float64, half float64, depth int) int {
+	lo, hi := 0, len(ids) // the crossing cell's sorted position is in [lo, hi)
+	var acc float64       // area of ids[:lo], all of which precede ids[lo:hi]
+	for hi-lo > 12 && depth > 0 {
+		depth--
+		m, left := partition(ids, lo, hi, key, area)
+		switch {
+		case acc+left >= half:
+			hi = m
+		case acc+left+area[ids[m]] >= half:
+			return min(m+1, len(ids)-1)
+		default:
+			acc += left + area[ids[m]]
+			lo = m + 1
+		}
+	}
+	slices.SortFunc(ids[lo:hi], byKey(key))
+	for k := lo; k < hi-1; k++ {
+		acc += area[ids[k]]
+		if acc >= half {
+			return min(k+1, len(ids)-1)
+		}
+	}
+	return min(hi, len(ids)-1)
+}
+
+// partition splits ids[lo:hi] (hi-lo ≥ 3) around a median-of-three pivot
+// under the (key, id) order, returning the pivot's final index m and the
+// area of ids[lo:m]. ids are distinct, so every other cell falls strictly
+// on one side, and the median of three distinct cells has one on each:
+// lo < m < hi-1.
+func partition(ids []int, lo, hi int, key, area []float64) (m int, left float64) {
+	a, b, c := lo, lo+(hi-lo)/2, hi-1
+	if before(key, ids[b], ids[a]) {
+		a, b = b, a
+	}
+	if before(key, ids[c], ids[b]) {
+		b = c
+		if before(key, ids[b], ids[a]) {
+			b = a
+		}
+	}
+	ids[lo], ids[b] = ids[b], ids[lo]
+	p := ids[lo]
+	i, j := lo+1, hi-1
+	for {
+		for i <= j && before(key, ids[i], p) {
+			left += area[ids[i]]
+			i++
+		}
+		for i <= j && before(key, p, ids[j]) {
+			j--
+		}
+		if i > j {
+			break
+		}
+		ids[i], ids[j] = ids[j], ids[i]
+		left += area[ids[i]]
+		i++
+		j--
+	}
+	ids[lo], ids[j] = ids[j], ids[lo]
+	return j, left
 }
 
 // writeBack converts centers to clamped lower-left positions.

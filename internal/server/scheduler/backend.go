@@ -17,12 +17,11 @@ var ErrQueueFull = errors.New("job queue full")
 // backend by consistent-hashing its instance key, so resubmissions of the
 // same instance land on the same lane (cache and data-locality affinity).
 //
-// The in-process Local backend is the only implementation today; the
-// interface is the seam for multi-process backends later — a remote
-// implementation would proxy Enqueue over the wire and report its peer's
-// depth. The scheduler's only assumptions are the ones documented per
-// method; everything job-lifecycle (claiming, retries, journaling) stays
-// above this interface.
+// Two implementations exist: Local runs jobs on in-process workers, and
+// Remote (remote.go) dispatches them over HTTP to an mthserved worker
+// process under a lease. The scheduler's only assumptions are the ones
+// documented per method; everything job-lifecycle (claiming, retries,
+// journaling) stays above this interface.
 type Backend interface {
 	// Name identifies the backend in /stats and journal records.
 	Name() string
