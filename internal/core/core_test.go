@@ -9,7 +9,6 @@ import (
 	"mthplace/internal/geom"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/legalize"
-	"mthplace/internal/milp"
 	"mthplace/internal/netlist"
 	"mthplace/internal/placer"
 	"mthplace/internal/rowgrid"
@@ -229,7 +228,7 @@ func solveBoth(t *testing.T, scale float64, s float64) (*Model, *Assignment, *As
 	if err != nil {
 		t.Fatal(err)
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 0, MILP: milp.Options{MaxNodes: 20000}})
+	ilp, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 0, MaxNodes: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestILPNoWorseThanGreedy(t *testing.T) {
 	if ilp.Objective > greedy.Objective+1e-6 {
 		t.Errorf("ILP objective %f worse than greedy %f", ilp.Objective, greedy.Objective)
 	}
-	if ilp.Stats.Method != "ilp" && ilp.Stats.Method != "greedy" {
+	if ilp.Stats.Method != "rap" && ilp.Stats.Method != "greedy" {
 		t.Errorf("method = %q", ilp.Stats.Method)
 	}
 }
@@ -294,7 +293,7 @@ func TestILPOptimalOnTinyInstance(t *testing.T) {
 		Cost:        [][]float64{{5, 1, 9}, {4, 2, 8}},
 		PairCenterY: []int64{0, 100, 200},
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{})
+	ilp, err := Solve(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestILPRespectsCapacityOverGreedyChoice(t *testing.T) {
 		Cost:        [][]float64{{5, 1, 9}, {4, 1, 8}},
 		PairCenterY: []int64{0, 100, 200},
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{})
+	ilp, err := Solve(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +331,14 @@ func TestILPRespectsCapacityOverGreedyChoice(t *testing.T) {
 	}
 }
 
-func TestSolveILPForceGreedy(t *testing.T) {
+func TestSolveGreedyBackend(t *testing.T) {
 	m, greedy, _ := solveBoth(t, 0.01, 0.5)
-	forced, err := SolveILP(context.Background(), m, SolveOptions{ForceGreedy: true})
+	forced, err := Solve(context.Background(), m, SolveOptions{Backend: BackendGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if forced.Stats.Method != "greedy" {
-		t.Error("ForceGreedy must return the greedy solution")
+		t.Error("BackendGreedy must return the greedy solution")
 	}
 	if forced.Objective != greedy.Objective {
 		t.Error("forced greedy objective differs")
@@ -383,12 +382,12 @@ func TestCandidatePruningStillFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 3})
+	pruned, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFeasible(t, m, pruned)
-	full, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 0})
+	full, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,9 @@ func TestDeadlineSurfacesAsTimeout(t *testing.T) {
 // leaked pool workers.
 func TestRunCancelMidFlow(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Synth.Scale = 0.1
+	// Large enough that Flow (5) takes a few hundred milliseconds, so a
+	// cancel at a tenth of it lands mid-run rather than after the end.
+	cfg.Synth.Scale = 0.3
 	r, err := NewRunner(context.Background(), synth.TableII()[0], cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -203,8 +203,8 @@ type Metrics struct {
 	SolveDegraded      bool
 	SolveDegradeReason string
 	SolveGap           float64
-	// Solver names the backend that ran the assignment: "milp", "rap" or
-	// "greedy" for the constraint-aware flows, "baseline" for Flows (2)/(3),
+	// Solver names the backend that ran the assignment: "rap" or "greedy"
+	// for the constraint-aware flows, "baseline" for Flows (2)/(3),
 	// empty for Flow (1).
 	Solver string
 	// Post-route (Table V); populated when routing was requested.
@@ -511,7 +511,7 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 		met.SolveGap = ra.Assignment.Stats.Gap
 		met.Solver = r.Cfg.Core.Solve.Backend
 		if met.Solver == "" {
-			met.Solver = core.BackendMILP
+			met.Solver = core.BackendRAP
 		}
 		stack = ra.Stack
 		seedY = ra.SeedY

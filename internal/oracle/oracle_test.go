@@ -10,7 +10,6 @@ import (
 	"mthplace/internal/core"
 	"mthplace/internal/errs"
 	"mthplace/internal/flow"
-	"mthplace/internal/milp"
 	"mthplace/internal/oracle"
 	"mthplace/internal/synth"
 )
@@ -22,7 +21,7 @@ import (
 func exactOptions() core.SolveOptions {
 	return core.SolveOptions{
 		CandidateRows: 0,
-		MILP:          milp.Options{MaxNodes: 5_000_000},
+		MaxNodes:      2_500_000_000,
 		// Strict forbids the degradation ladder: anything short of the
 		// proven optimum is an error, so a silently degraded solve can
 		// never slip through the differential comparison.
@@ -89,7 +88,7 @@ func randomModel(rng *rand.Rand, slack bool) *core.Model {
 }
 
 // TestDifferentialExactVsILP is the acceptance differential: on 220
-// randomized feasible instances (≤ 8 clusters × 8 rows) the production
+// randomized feasible instances (≤ 8 clusters × 8 rows) the production rap
 // branch-and-bound objective must equal the brute-force optimum exactly,
 // and every returned assignment must pass the Eq. 3/4/5 audit.
 func TestDifferentialExactVsILP(t *testing.T) {
@@ -104,16 +103,16 @@ func TestDifferentialExactVsILP(t *testing.T) {
 		if err := oracle.Feasibility(m, want); err != nil {
 			t.Fatalf("instance %d: oracle's own solution fails audit: %v", i, err)
 		}
-		got, err := core.SolveILP(ctx, m, exactOptions())
+		got, err := core.SolveRAP(ctx, m, exactOptions())
 		if err != nil {
-			t.Fatalf("instance %d: SolveILP: %v", i, err)
+			t.Fatalf("instance %d: SolveRAP: %v", i, err)
 		}
 		if err := oracle.Feasibility(m, got); err != nil {
 			t.Errorf("instance %d: ILP solution fails audit: %v", i, err)
 		}
 		if !got.Stats.Optimal {
 			t.Errorf("instance %d: ILP did not prove optimality (status %v, %d nodes)",
-				i, got.Stats.MILPStatus, got.Stats.Nodes)
+				i, got.Stats.Status, got.Stats.Nodes)
 		}
 		if math.Abs(got.Objective-want.Objective) > 1e-6 {
 			t.Errorf("instance %d (%d clusters × %d rows, N_minR %d): ILP objective %g, oracle optimum %g",
@@ -157,7 +156,7 @@ func TestDifferentialTightCapacity(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		m := randomModel(rng, false)
 		want, wantErr := oracle.Solve(m)
-		got, gotErr := core.SolveILP(ctx, m, exactOptions())
+		got, gotErr := core.SolveRAP(ctx, m, exactOptions())
 		switch {
 		case wantErr == nil && gotErr == nil:
 			solved++

@@ -1,7 +1,8 @@
-// Package rap is the structure-aware solver for the paper's row assignment
-// problem (RAP, Eqs. (3)–(5)). Where internal/milp treats the instance as a
-// generic mixed-binary LP over the dense cost matrix, this package exploits
-// the assignment-plus-one-cardinality structure directly:
+// Package rap is the exact solver for the paper's row assignment problem
+// (RAP, Eqs. (3)–(5)), the stand-in for the original's CPLEX run. Instead
+// of linearising the instance into a generic mixed-binary LP over the dense
+// cost matrix, it exploits the assignment-plus-one-cardinality structure
+// directly:
 //
 //   - Sparse costs. An Instance stores per-cluster candidate arc lists, so
 //     candidate pruning shrinks the data the solver touches, not just the
@@ -19,15 +20,10 @@
 //     constraint propagation prunes arcs that can no longer be feasible,
 //     Lagrangian reduced-cost fixing closes rows no improving solution can
 //     use, and a repair heuristic turns relaxed solutions into incumbents.
-//     Status/StopReason reuse the internal/milp anytime types, so the core
-//     degradation ladder treats both backends identically.
 //
 // The package is deliberately standalone — it does not import internal/core.
-// core builds an Instance from its Model (sharing the candidate pruning with
-// the MILP path) and maps the Result back onto its Assignment/ladder types.
-// Incremental re-solve lives in the Solver type (incremental.go): it keeps
-// the last duals and incumbent, so a perturbed instance warm-starts instead
-// of solving cold.
+// core builds an Instance from its pruned Model and maps the Result (Status,
+// StopReason, gap bound) back onto its Assignment and degradation ladder.
 package rap
 
 import (
@@ -38,9 +34,72 @@ import (
 	"slices"
 	"time"
 
-	"mthplace/internal/milp"
 	"mthplace/internal/obs"
 )
+
+// Status reports the outcome of a solve.
+type Status int8
+
+const (
+	// Optimal: proven optimal within the gap tolerance.
+	Optimal Status = iota
+	// Feasible: search limit hit with an incumbent in hand.
+	Feasible
+	// Infeasible: no integer-feasible solution exists.
+	Infeasible
+	// Limit: search limit hit with no incumbent.
+	Limit
+)
+
+// String implements fmt.Stringer.
+func (s Status) String() string {
+	switch s {
+	case Optimal:
+		return "optimal"
+	case Feasible:
+		return "feasible"
+	case Infeasible:
+		return "infeasible"
+	case Limit:
+		return "limit"
+	default:
+		return "unknown"
+	}
+}
+
+// StopReason records why the search ended before exhausting the tree; it
+// distinguishes the solver's own budgets (nodes, wall-clock) from the
+// caller's context so degradation policies can report honest provenance.
+type StopReason int8
+
+const (
+	// StopNone: the tree was exhausted (or the gap closed); nothing was cut
+	// short.
+	StopNone StopReason = iota
+	// StopNodeLimit: Options.MaxNodes ran out.
+	StopNodeLimit
+	// StopTimeLimit: Options.TimeLimit expired.
+	StopTimeLimit
+	// StopContext: the caller's context was canceled or its deadline
+	// expired mid-search.
+	StopContext
+)
+
+// String implements fmt.Stringer.
+func (s StopReason) String() string {
+	switch s {
+	case StopNone:
+		return "none"
+	case StopNodeLimit:
+		return "node-limit"
+	case StopTimeLimit:
+		return "time-limit"
+	case StopContext:
+		return "context"
+	default:
+		return "unknown"
+	}
+}
 
 // Arc is one candidate cluster→row assignment with its Eq. 2 cost.
 type Arc struct {
@@ -117,14 +176,13 @@ func (in *Instance) Validate() error {
 
 // Options tune the solve.
 type Options struct {
-	// MaxNodes bounds the branch-and-bound nodes (0 = 20000). The nodes
-	// are far cheaper than MILP nodes — each costs a few subgradient
-	// sweeps over the arcs, not an LP solve.
+	// MaxNodes bounds the branch-and-bound nodes (0 = 20000). Each node
+	// costs a few subgradient sweeps over the arcs.
 	MaxNodes int
 	// TimeLimit bounds wall-clock time (0 = none).
 	TimeLimit time.Duration
 	// RelGap stops when (incumbent − bound)/max(1,|incumbent|) is below it
-	// (0 = 1e-6, the same convention as milp.Options).
+	// (0 = 1e-6).
 	RelGap float64
 	// RootIters bounds the root subgradient iterations (0 = 1200).
 	RootIters int
@@ -148,12 +206,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result of a solve. Status and Stop reuse the internal/milp anytime types,
-// so callers run one degradation ladder over both backends.
+// Result of a solve.
 type Result struct {
-	Status milp.Status
+	Status Status
 	// Stop explains an early exit; StopNone when the search ran to proof.
-	Stop milp.StopReason
+	Stop StopReason
 	// Assign is the incumbent cluster→row assignment (nil without one).
 	Assign []int32
 	// Obj is the incumbent objective.
@@ -165,9 +222,6 @@ type Result struct {
 	Nodes int
 	// Iters is the total subgradient iterations across all nodes.
 	Iters int
-	// Lambda holds the per-cluster assignment duals after the root
-	// subgradient — the warm-start state an incremental re-solve reuses.
-	Lambda []float64
 }
 
 // Gap returns the relative optimality gap of the result: 0 at proven
@@ -181,16 +235,6 @@ func (r *Result) Gap() float64 {
 		return 0
 	}
 	return g
-}
-
-// Solve runs the structure-aware branch and bound. warm, if non-nil, is a
-// cluster→row warm start; rows missing from a cluster's candidate list (or
-// breaking feasibility) are repaired before use, so a stale warm start can
-// only cost quality, never correctness. Cancellation is checked once per
-// node. A malformed instance returns an error; infeasibility is reported in
-// Result.Status.
-func Solve(ctx context.Context, in *Instance, warm []int32, opt Options) (*Result, error) {
-	return solve(ctx, in, warm, nil, math.Inf(-1), opt)
 }
 
 // bitset is a fixed-capacity bit vector over the flattened arc array.
@@ -1056,13 +1100,13 @@ func (s *search) clusterOf(a int32) int32 {
 	return lo
 }
 
-// solve is the shared engine behind Solve and (*Solver).Solve. lam0, when
-// non-nil, warm-starts the root duals.
-// solve is the search entry point. floor, when finite, is an externally
-// proven lower bound on the optimum (an incremental re-solve transfers one
-// from the previous solve); the root bound starts at max(subgradient, floor),
-// which can prove a warm incumbent optimal without expanding a single node.
-func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floor float64, opt Options) (*Result, error) {
+// Solve runs the structure-aware branch and bound. warm, if non-nil, is a
+// cluster→row warm start; rows missing from a cluster's candidate list (or
+// breaking feasibility) are repaired before use, so a stale warm start can
+// only cost quality, never correctness. Cancellation is checked once per
+// node. A malformed instance returns an error; infeasibility is reported in
+// Result.Status.
+func Solve(ctx context.Context, in *Instance, warm []int32, opt Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -1071,7 +1115,7 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	s.startT = time.Now()
 	s.sink = obs.Progress(ctx)
 	s.tracer = obs.TracerFrom(ctx)
-	res := &Result{Status: milp.Limit, Bound: math.Inf(-1), Obj: math.Inf(1)}
+	res := &Result{Status: Limit, Bound: math.Inf(-1), Obj: math.Inf(1)}
 	span := obs.StartSpan(ctx, "rap.bnb")
 	s.span = span
 	defer func() {
@@ -1090,8 +1134,8 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 		if s.hasInc {
 			res.Assign = append([]int32(nil), s.inc...)
 			res.Obj = s.incObj
-			if res.Status == milp.Limit {
-				res.Status = milp.Feasible
+			if res.Status == Limit {
+				res.Status = Feasible
 			}
 		}
 		return res
@@ -1101,25 +1145,21 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	root.alive.setAll(s.nA)
 	root.lam = make([]float64, s.nC)
 	root.rows = make([]int8, s.nR)
-	if lam0 != nil {
-		copy(root.lam, lam0)
-	} else {
-		// Cold duals: each cluster's cheapest cost. All reduced costs start
-		// at ≥ 0 (L = Σ min-cost, the trivial bound) and the subgradient
-		// climbs from there.
-		for c := 0; c < s.nC; c++ {
-			minC := math.Inf(1)
-			for a := s.start[c]; a < s.start[c+1]; a++ {
-				if s.arcCost[a] < minC {
-					minC = s.arcCost[a]
-				}
+	// Cold duals: each cluster's cheapest cost. All reduced costs start at
+	// ≥ 0 (L = Σ min-cost, the trivial bound) and the subgradient climbs
+	// from there.
+	for c := 0; c < s.nC; c++ {
+		minC := math.Inf(1)
+		for a := s.start[c]; a < s.start[c+1]; a++ {
+			if s.arcCost[a] < minC {
+				minC = s.arcCost[a]
 			}
-			root.lam[c] = minC
 		}
+		root.lam[c] = minC
 	}
 	s.rows = root.rows
 	if !s.propagate(root.alive) {
-		res.Status = milp.Infeasible
+		res.Status = Infeasible
 		return finish(), nil
 	}
 	if warm != nil {
@@ -1127,12 +1167,8 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	}
 	rootBound := s.subgradient(root.alive, root.lam, opt.RootIters, 2.0)
 	if math.IsInf(rootBound, 1) {
-		res.Lambda = append([]float64(nil), root.lam...)
-		res.Status = milp.Infeasible
+		res.Status = Infeasible
 		return finish(), nil
-	}
-	if floor > rootBound {
-		rootBound = floor
 	}
 	s.repair(root.alive)
 	// Root reduced-cost fixing: shrink the arc set against the incumbent and
@@ -1148,7 +1184,6 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 		}
 		s.repair(root.alive)
 	}
-	res.Lambda = append([]float64(nil), root.lam...)
 	root.bound = rootBound
 
 	h := &nodeHeap{}
@@ -1159,21 +1194,21 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 
 	for h.Len() > 0 {
 		if s.nodes >= opt.MaxNodes {
-			res.Stop = milp.StopNodeLimit
+			res.Stop = StopNodeLimit
 			break
 		}
 		if ctx.Err() != nil {
-			res.Stop = milp.StopContext
+			res.Stop = StopContext
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Stop = milp.StopTimeLimit
+			res.Stop = StopTimeLimit
 			break
 		}
 		nd := h.pop()
 		if s.hasInc && nd.bound >= s.incObj-s.gapAbs() {
 			// Bound-ordered heap: every remaining node is dominated too.
-			res.Status = milp.Optimal
+			res.Status = Optimal
 			res.Bound = s.incObj
 			return finish(), nil
 		}
@@ -1272,10 +1307,10 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 
 	if h.Len() == 0 {
 		if s.hasInc {
-			res.Status = milp.Optimal
+			res.Status = Optimal
 			res.Bound = s.incObj
 		} else {
-			res.Status = milp.Infeasible
+			res.Status = Infeasible
 		}
 		return finish(), nil
 	}

@@ -52,7 +52,7 @@ func submitWait(t *testing.T, s *Scheduler, req JobRequest) *Job {
 // cache without executing, and the metrics AND the placement digest are
 // bit-identical to the cold solve — not merely equivalent.
 func TestCacheHitBitIdentical(t *testing.T) {
-	for _, solver := range []string{core.BackendMILP, core.BackendRAP, core.BackendGreedy} {
+	for _, solver := range []string{core.BackendRAP, core.BackendGreedy} {
 		t.Run(solver, func(t *testing.T) {
 			s := newSched(t, Options{Workers: 1, CacheEntries: 16})
 			req := JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{2, 5}, Solver: solver}

@@ -7,7 +7,7 @@
 // Endpoints are versioned under /v1/; the original unversioned paths are
 // registered as exact aliases so pre-versioning clients keep working:
 //
-//	POST   /v1/jobs              submit (202 + id; 429 queue full; 400 bad request)
+//	POST   /v1/jobs              submit (202 + id; 429 queue full; 422 unknown solver; 400 bad request)
 //	POST   /v1/jobs:batch        submit N instances, get N job handles
 //	GET    /v1/jobs              list all jobs
 //	GET    /v1/jobs/{id}         job status
@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"strings"
 
+	"mthplace/internal/core"
 	"mthplace/internal/errs"
 	"mthplace/internal/flow"
 	"mthplace/internal/obs"
@@ -98,6 +99,8 @@ func submitStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, scheduler.ErrJournal):
 		return http.StatusInternalServerError
+	case errors.Is(err, core.ErrUnknownBackend):
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
 	}

@@ -151,3 +151,28 @@ func TestShutdownRejectsWith503RetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 }
+
+// TestSubmitRemovedSolverIs422 verifies a well-formed submit naming a
+// solver backend that does not exist (here the removed "milp") is refused
+// with 422 and an error that names the valid backends.
+func TestSubmitRemovedSolverIs422(t *testing.T) {
+	srv, _ := newBackpressuredAPI(t, scheduler.Options{Workers: 1, QueueDepth: 4})
+	body := `{"testcase":"aes_300","scale":0.02,"solver":"milp"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "rap") || !strings.Contains(e.Error, "greedy") {
+		t.Fatalf("error %q does not name the valid backends", e.Error)
+	}
+}

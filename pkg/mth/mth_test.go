@@ -3,6 +3,7 @@ package mth_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"mthplace/pkg/mth"
@@ -45,6 +46,24 @@ func TestFacadeErrors(t *testing.T) {
 	cancel()
 	if _, err := mth.Run(ctx, spec, cfg, mth.Flow5, false); !errors.Is(err, mth.ErrCanceled) {
 		t.Errorf("pre-canceled run: err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestValidBackend: the exact and greedy backends (and the empty default)
+// are accepted; the removed milp backend is rejected with an error that
+// names the valid ones.
+func TestValidBackend(t *testing.T) {
+	for _, name := range []string{"", mth.BackendRAP, mth.BackendGreedy} {
+		if err := mth.ValidBackend(name); err != nil {
+			t.Errorf("ValidBackend(%q) = %v, want nil", name, err)
+		}
+	}
+	err := mth.ValidBackend("milp")
+	if err == nil {
+		t.Fatal(`ValidBackend("milp") accepted a removed backend`)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "rap") || !strings.Contains(msg, "greedy") {
+		t.Errorf("error %q does not name the valid backends", msg)
 	}
 }
 
