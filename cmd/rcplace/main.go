@@ -57,7 +57,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); expiry exits 124")
 		strict   = flag.Bool("strict", false, "fail fast instead of degrading to an anytime/greedy answer when solve budgets run out")
 		solver   = flag.String("solver", "", "RAP solver backend: rap (default; exact Lagrangian branch and bound) or greedy")
-		useSoA   = flag.Bool("soa", false, "iterate the flat structure-of-arrays representation in the hot stages; results are identical to the default")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run, samples labelled by flow stage, to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
@@ -120,9 +119,6 @@ func main() {
 		fcfg.Core.Solve.Degrade = mth.DegradeStrict
 	}
 	fcfg.Core.Solve.Backend = *solver
-	if *useSoA {
-		fcfg.Rep = mth.RepSoA
-	}
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)

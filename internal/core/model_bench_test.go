@@ -6,15 +6,7 @@ import (
 
 	"mthplace/internal/netlist"
 	"mthplace/internal/rowgrid"
-	"mthplace/internal/soa"
 )
-
-// The BuildModel pair measures the RAP cost-model build over both data
-// representations on the same clustered design. The SoA variant iterates the
-// flat CSR arrays with an epoch-stamped dedup instead of the per-instance
-// pointer walk + map, so the interesting numbers are allocations and the
-// serial wall clock; the outputs are bit-identical (see
-// TestBuildModelSoAEquivalence).
 
 func benchModelInputs(b *testing.B) (context.Context, *netlist.Design, rowgrid.PairGrid, *Clusters, int) {
 	b.Helper()
@@ -26,22 +18,14 @@ func benchModelInputs(b *testing.B) (context.Context, *netlist.Design, rowgrid.P
 	return ctxWithJobs(1), d, g, cl, nMinRFor(d, g)
 }
 
-func BenchmarkBuildModelAoS(b *testing.B) {
+// BenchmarkBuildModel measures the RAP cost-model build on one clustered
+// design with a single worker, so the interesting numbers are allocations
+// and the serial wall clock.
+func BenchmarkBuildModel(b *testing.B) {
 	ctx, d, g, cl, nMinR := benchModelInputs(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := BuildModel(ctx, d, g, cl, nMinR, DefaultCostParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildModelSoA(b *testing.B) {
-	ctx, d, g, cl, nMinR := benchModelInputs(b)
-	c := soa.FromDesign(d)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := BuildModelSoA(ctx, c, g, cl, nMinR, DefaultCostParams()); err != nil {
 			b.Fatal(err)
 		}
 	}

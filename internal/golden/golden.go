@@ -80,16 +80,10 @@ type DesignSnapshot struct {
 
 // Snapshot is the whole committed corpus.
 type Snapshot struct {
-	Schema int     `json:"schema"`
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-	// Representation records the data model that computed this snapshot
-	// ("aos" or "soa"). The flows are representation-independent — the
-	// differential suite asserts bit-identical results — so Compare treats
-	// snapshots from either representation as directly comparable and this
-	// field is provenance, not a compared axis.
-	Representation string           `json:"representation"`
-	Designs        []DesignSnapshot `json:"designs"`
+	Schema  int              `json:"schema"`
+	Scale   float64          `json:"scale"`
+	Seed    int64            `json:"seed"`
+	Designs []DesignSnapshot `json:"designs"`
 	// Degraded pins the anytime rung of the solve ladder: DegradedDesign
 	// re-run with a single-node search budget (see the Degraded* consts).
 	Degraded *DesignSnapshot `json:"degraded,omitempty"`
@@ -98,19 +92,11 @@ type Snapshot struct {
 // FlowKey names a flow in the snapshot ("flow1".."flow5").
 func FlowKey(id flow.ID) string { return fmt.Sprintf("flow%d", int(id)) }
 
-// Compute runs every flow on every corpus design on the default (AoS)
-// representation and returns a fresh snapshot. Each run executes with
-// Config.Verify set, so a snapshot can only be produced from placements
-// that pass the full invariant checker.
+// Compute runs every flow on every corpus design and returns a fresh
+// snapshot. Each run executes with Config.Verify set, so a snapshot can only
+// be produced from placements that pass the full invariant checker.
 func Compute(ctx context.Context) (*Snapshot, error) {
-	return ComputeRep(ctx, flow.RepAoS)
-}
-
-// ComputeRep is Compute on an explicit representation. Snapshots computed
-// at RepAoS and RepSoA must be identical (zero tolerance) — the regression
-// test for the SoA path compares one against the committed corpus directly.
-func ComputeRep(ctx context.Context, rep flow.Representation) (*Snapshot, error) {
-	s := &Snapshot{Schema: Schema, Scale: Scale, Seed: Seed, Representation: rep.String()}
+	s := &Snapshot{Schema: Schema, Scale: Scale, Seed: Seed}
 	for _, name := range Designs {
 		spec, err := findSpec(name)
 		if err != nil {
@@ -120,7 +106,6 @@ func ComputeRep(ctx context.Context, rep flow.Representation) (*Snapshot, error)
 		cfg.Synth.Scale = Scale
 		cfg.Synth.Seed = Seed
 		cfg.Verify = true
-		cfg.Rep = rep
 		r, err := flow.NewRunner(ctx, spec, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("golden: %s: %w", name, err)

@@ -51,8 +51,6 @@ type (
 	Runner = flow.Runner
 	// Pool is a scoped worker-pool handle (see Config.Pool).
 	Pool = par.Pool
-	// Representation selects the hot data model (see Config.Rep).
-	Representation = flow.Representation
 )
 
 // The five flows of Table III, plus the future-work comparators.
@@ -64,14 +62,6 @@ const (
 	Flow5       = flow.Flow5
 	FlowFinFlex = flow.FlowFinFlex
 	FlowRegion  = flow.FlowRegion
-)
-
-// Data representations for Config.Rep: the pointer-per-object netlist
-// (default) or the flat structure-of-arrays model. Results are identical;
-// RepSoA trades conversion passes for memory locality at scale.
-const (
-	RepAoS = flow.RepAoS
-	RepSoA = flow.RepSoA
 )
 
 // Typed failure classes for errors.Is — see flow's docs for semantics.
